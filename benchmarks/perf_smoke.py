@@ -2,8 +2,10 @@
 
 Runs the benchmarks the optimization work targets — the ``variation``
 Monte-Carlo experiment, the ``fig3f`` SPICE TBA sweep, the RC transient
-solve, the behavioral level sweep, a sharded-service query batch and
-the 16Mi-lane BNN program (``workload_scale``) — and writes wall-clock
+solve, the behavioral level sweep, a sharded-service query batch,
+the 16Mi-lane BNN program (``workload_scale``) and the per-run
+bookkeeping of a 1544-statement CRC-8 program (``program_overhead``)
+— and writes wall-clock
 timings (with the frozen seed baselines for trajectory) plus the
 compiler's native-primitive counts to ``BENCH_substrate.json`` at the
 repo root.  CI runs this after the test suite so every PR leaves a
@@ -91,6 +93,11 @@ SEED_BASELINE_S = {
     # baseline = introduction measure.  Also gated by a hard
     # MIN_ROWS_PER_S throughput floor.
     "cam_scale": 0.0139,
+    # introduced with the whole-program charge memo: warm run_program
+    # median of CRC-8 over 256 lanes (1544 statements, kernels of a
+    # few words, so per-statement bookkeeping dominates); baseline =
+    # the per-statement Stats merges the memo replaces, same box
+    "program_overhead": 0.0084,
 }
 
 #: allowed relative slowdown vs the committed baseline (CI gate)
@@ -244,6 +251,44 @@ def _workload_scale(*, backend: str = "vector", fuse: bool = True,
     }
 
 
+#: program_overhead geometry: CRC-8 over 16 KiB of messages -> 256
+#: lanes and a 1544-statement feedback-chain program
+PROGRAM_OVERHEAD_BYTES = 1 << 14
+#: warm-up runs: program compile, cost-event probe and one full FeRAM
+#: TBA-offset cycle (<= 32 cost states) of charge-memo fills
+PROGRAM_OVERHEAD_WARMUP = 64
+
+
+def _program_overhead(*, runs: int = 200) -> dict:
+    """Per-run program bookkeeping: median warm ``run_program`` time.
+
+    ``workload_scale`` runs 16 Mi lanes and is kernel-bound; here the
+    kernels touch a few words each, so the timing is the service's
+    per-run accounting (plan lookup, closed-form charge, disturb
+    reads, result assembly).  Returns the median plus its per-statement
+    share.
+    """
+    from repro.workloads import PROGRAM_WORKLOADS
+    from repro.workloads.programs import generate_inputs
+
+    workload = PROGRAM_WORKLOADS["crc8"](PROGRAM_OVERHEAD_BYTES) \
+        .as_program(seed=1)
+    inputs = generate_inputs(workload, seed=1)
+    times = []
+    with BitwiseService("feram-2tnc", n_bits=workload.n_lanes) as svc:
+        for name, bits in inputs.items():
+            svc.create_column(name, bits)
+        for _ in range(PROGRAM_OVERHEAD_WARMUP + runs):
+            start = time.perf_counter()
+            svc.run_program(workload.program)
+            times.append(time.perf_counter() - start)
+    seconds = float(np.median(times[PROGRAM_OVERHEAD_WARMUP:]))
+    statements = len(workload.program)
+    return {"seconds": seconds, "lanes": workload.n_lanes,
+            "statements": statements,
+            "us_per_statement": 1e6 * seconds / statements}
+
+
 def _explore_sweep(*, repeat: int = 5) -> dict:
     """Design-space sweep throughput: the default grid re-costed in
     closed form (the warm-up probes the workload suite once; the
@@ -320,6 +365,8 @@ def run_smoke() -> dict:
     workload = _workload_scale(repeat=5)
     timings["workload_scale"] = workload["seconds"]
     workload_unfused = _workload_scale(fuse=False, repeat=1)
+    overhead = _program_overhead()
+    timings["program_overhead"] = overhead["seconds"]
     serving = min((serving_latency() for _ in range(3)),
                   key=lambda record: record["seconds"])
     timings["serving_latency"] = serving["seconds"]
@@ -391,6 +438,11 @@ def run_smoke() -> dict:
             "fuse_speedup": round(
                 workload_unfused["seconds"] / workload["seconds"], 2),
         },
+    })
+    entries["program_overhead"].update({
+        "lanes": overhead["lanes"],
+        "statements": overhead["statements"],
+        "us_per_statement": round(overhead["us_per_statement"], 3),
     })
     entries["serving_latency"].update({
         "clients": serving["clients"],
@@ -571,6 +623,14 @@ def print_summary(payload: dict) -> None:
               f"{workload['energy_per_lane_nj']:.3f} nJ attributed "
               f"per lane; speedup is vs the interpreted engine-replay "
               f"backend on the same program.")
+    overhead = payload.get("benchmarks", {}).get("program_overhead", {})
+    if "statements" in overhead:
+        print()
+        print(f"`program_overhead`: warm run_program median "
+              f"{overhead['measured_s'] * 1e3:.2f} ms for a "
+              f"{overhead['statements']}-statement CRC-8 program over "
+              f"{overhead['lanes']} lanes "
+              f"({overhead['us_per_statement']:.2f} us/statement).")
     serving = payload.get("benchmarks", {}).get("serving_latency", {})
     if "qps" in serving:
         print()

@@ -46,9 +46,12 @@ Compilation (:func:`compile_program`) produces a
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
 from repro.arch.bank import BitVector
+from repro.arch.commands import Stats
 from repro.arch.engine import BulkEngine
 from repro.arch.expr import (
     Col,
@@ -62,11 +65,16 @@ from repro.arch.expr import (
 from repro.errors import QueryError
 
 __all__ = [
-    "Program", "ProgramBuilder", "CompiledProgram", "compile_program",
-    "parse_program",
+    "Program", "ProgramBuilder", "CompiledProgram", "ProgramCharge",
+    "compile_program", "parse_program",
 ]
 
 _NAME = re.compile(r"[A-Za-z_]\w*")
+
+#: entries of a compiled program's whole-program charge memo; FeRAM TBA
+#: offsets cycle through at most ``control_rewrite_period`` (32) states
+#: per column-flag state, so a steady stream stays resident
+CHARGE_MEMO_CAP = 64
 
 
 class Program:
@@ -114,6 +122,21 @@ class Program:
                     cols.setdefault(col)
             seen_assigned.add(name)
         self._cols = tuple(cols)
+        self._signature: str | None = None
+
+    @property
+    def signature(self) -> str:
+        """Structural identity (statement texts + outputs), built once.
+
+        One ``name=expr`` line per statement, then the outputs: names
+        never contain ``=``/``,`` and expression texts never contain a
+        newline, so distinct programs get distinct signatures.
+        """
+        if self._signature is None:
+            lines = [f"{name}={expr}" for name, expr in self.statements]
+            lines.append("->" + ",".join(self.outputs))
+            self._signature = "\n".join(lines)
+        return self._signature
 
     @staticmethod
     def _check_name(name: str) -> str:
@@ -194,6 +217,19 @@ class ProgramBuilder:
 # ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
+class ProgramCharge(NamedTuple):
+    """Closed-form cost of one whole-program execution (memoized).
+
+    Shared between runs from the same cost state: treat every field as
+    read-only (accumulate with ``Stats.iadd``, copy before handing out).
+    """
+
+    statements: tuple[Stats, ...]   #: shard-summed per-statement deltas
+    total: Stats                    #: sum of :attr:`statements`
+    tba_offsets: tuple[int, ...]    #: per-shard offsets after the run
+    flags: tuple[bool, ...]         #: column complement flags after it
+
+
 class CompiledProgram:
     """An optimized, two-backend executable program plan."""
 
@@ -218,12 +254,17 @@ class CompiledProgram:
         # optimization may fold some of the program's raw columns away).
         assigned: set[str] = set()
         needed: dict[str, None] = {}
+        reads: list[str] = []
         for name, plan in self.stmt_plans:
             for col in plan.cols:
                 if col not in assigned:
                     needed.setdefault(col)
+                    reads.append(col)
             assigned.add(name)
         self.cols = tuple(needed)
+        #: one entry per external-column activation of the replay, in
+        #: statement order (the disturb reads a run accrues)
+        self.reads = tuple(reads)
         # Whole-program AIG (vector path + canonical identity):
         # assigned names resolve to their sub-graphs via the statement
         # environment, so hash-consing shares identical sub-expressions
@@ -241,12 +282,19 @@ class CompiledProgram:
         self._vector_program: VectorProgram | None = None
         self._vector_program_fused: VectorProgram | None = None
         self._cost_events: dict[tuple, tuple] = {}
-        #: (spec, flags, n_rows, tba_offset) ->
-        #: (per-stmt Stats, final offset)
-        #: — the plan_stats expansion for one shard state, reused across
-        #: executions (cached entries are read-only; accumulate via
-        #: Stats.iadd/iadd_scaled, never mutate them)
-        self._plan_stats_memo: dict[tuple, tuple] = {}
+        #: (spec, flags, shard_rows, tba_offsets) -> ProgramCharge
+        self._charge_memo: dict[tuple, ProgramCharge] = {}
+        #: physical column tuple (aligned with cols) -> physical reads
+        self._reads_memo: dict[tuple, tuple[str, ...]] = {}
+        self._stmt_queries: tuple[str, ...] | None = None
+
+    @property
+    def stmt_queries(self) -> tuple[str, ...]:
+        """Each statement's expression text as compiled (built once)."""
+        if self._stmt_queries is None:
+            self._stmt_queries = tuple(str(plan.expr)
+                                       for _, plan in self.stmt_plans)
+        return self._stmt_queries
 
     # -- liveness ------------------------------------------------------
     def _liveness(self) -> None:
@@ -350,6 +398,58 @@ class CompiledProgram:
             cached = probe_program_events(self, flags)
             self._cost_events[flags] = cached
         return cached
+
+    def charge(self, spec, flags: tuple[bool, ...],
+               shard_rows: tuple[int, ...],
+               tba_offsets: tuple[int, ...]) -> ProgramCharge:
+        """Closed-form Stats of one execution from a service cost state.
+
+        Statement events expand per shard with the running FeRAM
+        control-rewrite offset threaded through the statements in
+        order — exactly the interleaving a shard replay produces.
+        Shards in the same ``(rows, offset)`` state expand once and
+        count scaled.  The result is memoized per whole state, so a
+        warm run costs one dict lookup, not statements × shards merges.
+        """
+        key = (spec, flags, shard_rows, tba_offsets)
+        charge = self._charge_memo.get(key)
+        if charge is not None:
+            return charge
+        from repro.arch.primitives import plan_stats
+        events, final_flags = self.cost_events(flags)
+        per_stmt = [Stats() for _ in events]
+        after: dict[tuple[int, int], int] = {}
+        for state, n_shards in Counter(zip(shard_rows,
+                                           tba_offsets)).items():
+            n_rows, offset = state
+            for target, stmt_events in zip(per_stmt, events):
+                stats, offset = plan_stats(spec, stmt_events, n_rows,
+                                           tba_offset=offset)
+                target.iadd_scaled(stats, n_shards)
+            after[state] = offset
+        total = Stats()
+        for stats in per_stmt:
+            total.iadd(stats)
+        charge = ProgramCharge(
+            tuple(per_stmt), total,
+            tuple(after[state] for state in zip(shard_rows, tba_offsets)),
+            final_flags)
+        if len(self._charge_memo) >= CHARGE_MEMO_CAP:
+            self._charge_memo.clear()
+        self._charge_memo[key] = charge
+        return charge
+
+    def physical_reads(self, colmap: Mapping[str, str]
+                       ) -> tuple[str, ...]:
+        """:attr:`reads` mapped through a logical->physical binding."""
+        key = tuple(colmap[col] for col in self.cols)
+        reads = self._reads_memo.get(key)
+        if reads is None:
+            reads = tuple(colmap[col] for col in self.reads)
+            if len(self._reads_memo) >= CHARGE_MEMO_CAP:
+                self._reads_memo.clear()
+            self._reads_memo[key] = reads
+        return reads
 
     # -- vector lowering -----------------------------------------------
     def vector_program(self, *, fused: bool = False) -> VectorProgram:

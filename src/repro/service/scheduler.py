@@ -129,7 +129,8 @@ class RequestScheduler:
         self._commit_thread: threading.Thread | None = None
         self._stopped = False
         self._draining = False
-        # Adaptive batching: EWMA of recent batch sizes.  Near 1 the
+        # Adaptive batching: EWMA of recent round sizes (queries plus
+        # barrier ops).  Near 1 the
         # queue is effectively idle — waiting the full window only
         # adds latency — so the window is skipped; above that the
         # window fires early once the backlog reaches the predicted
@@ -374,14 +375,17 @@ class RequestScheduler:
             while self._backlog():
                 batch, exclusives = self._drain_round()
                 if batch:
-                    self._batch_ewma = (
-                        0.7 * self._batch_ewma + 0.3 * len(batch))
                     await self._execute_batch(loop, batch)
                     # Mutations that queued while the batch executed
                     # join this round's group commit (one shared
                     # fsync) instead of each paying their own next
                     # round.
                     exclusives.extend(self._drain_barriers())
+                # The round size (queries plus barriers) feeds the
+                # prediction, so a lone writer stops paying the window
+                # while concurrent writers still coalesce.
+                self._batch_ewma = 0.7 * self._batch_ewma \
+                    + 0.3 * (len(batch) + len(exclusives))
                 if exclusives:
                     await self._execute_exclusives(loop, exclusives)
 

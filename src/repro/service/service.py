@@ -86,7 +86,7 @@ from repro.arch.expr import (
     compile_expr,
 )
 from repro.arch.primitives import default_spec, make_engine, plan_stats
-from repro.arch.program import CompiledProgram, Program
+from repro.arch.program import CompiledProgram, Program, ProgramCharge
 from repro.arch.program import compile_program as _compile_program
 from repro.arch.program import vector_payload
 from repro.arch.spec import MemorySpec
@@ -169,13 +169,14 @@ class ProgramResult:
 
     ``payloads`` maps output names to flat 0/1 arrays or deferred
     :class:`~repro.service.columnstore.PackedBits` readouts; access
-    :attr:`outputs` to materialize (memoized in place).
+    :attr:`outputs` to materialize (memoized in place).  Per-statement
+    attribution is lazy too: :attr:`statements` expands ``attribution``
+    on first access (memoized in place).
     """
 
     key: str                        #: canonical program key
     payloads: dict | None           #: output bits per name, maybe packed
     counts: dict | None             #: output popcounts per name
-    statements: list[StatementStats]
     primitives_per_row: int         #: compiled native primitives / row
     naive_primitives_per_row: int   #: naive-chaining baseline / row
     energy_j: float                 #: attributed in-memory energy
@@ -183,7 +184,12 @@ class ProgramResult:
     elapsed_s: float                #: host wall-clock
     shards: int
     backend: str
+    #: ``(CompiledProgram, per-statement Stats)``, possibly shared
+    #: with the program's charge memo — read through :attr:`statements`
+    attribution: tuple = field(repr=False)
     detail: dict = field(default_factory=dict)
+    _statements: list | None = field(default=None, init=False,
+                                     repr=False, compare=False)
 
     @property
     def outputs(self) -> dict | None:
@@ -193,6 +199,24 @@ class ProgramResult:
                 if isinstance(value, PackedBits):
                     self.payloads[name] = value.unpack()
         return self.payloads
+
+    @property
+    def statements(self) -> list[StatementStats]:
+        """Attributed cost per statement; built lazily, memoized.
+
+        Every result owns private Stats copies, so mutating them never
+        reaches the memo other runs are charged from.
+        """
+        if self._statements is None:
+            cprog, deltas = self.attribution
+            self._statements = [
+                StatementStats(index=index, name=name, query=query,
+                               energy_j=stats.total_energy_j,
+                               cycles=stats.total_cycles,
+                               stats=stats.copy())
+                for index, ((name, _), query, stats) in enumerate(zip(
+                    cprog.stmt_plans, cprog.stmt_queries, deltas))]
+        return self._statements
 
 
 @dataclass
@@ -361,11 +385,10 @@ class BitwiseService:
         spans = shard_spans(self.capacity, n_shards)
         self._spans = spans
         self.n_shards = len(spans)
-        self._shard_rows = [
+        self._shard_rows = tuple(
             (stop - start + self._spec.row_bits - 1)
             // self._spec.row_bits
-            for start, stop in spans
-        ]
+            for start, stop in spans)
         if backend == "reference":
             self._shards = [
                 _Shard(i, make_engine(technology, functional=functional,
@@ -452,10 +475,12 @@ class BitwiseService:
         # self._columns (a lost race would overwrite shard vectors and
         # leak allocator rows).
         self._table_lock = threading.RLock()
-        self._plans: dict[str, CompiledQuery] = {}
-        # Text-level shortcut: repeated query strings skip the parse /
-        # canonicalize round-trip entirely (hot for steady traffic).
-        # LRU-bounded: distinct strings must not grow memory forever.
+        # Plan caches, all LRU-bounded (distinct queries must not grow
+        # memory forever) and guarded by _plans_lock: compiled plans by
+        # canonical key, plus a text-level shortcut so repeated query
+        # strings skip the parse / canonicalize round-trip entirely.
+        self._plans: OrderedDict[str, CompiledQuery] = OrderedDict()
+        self._plans_cap = 1024
         self._plans_by_text: OrderedDict[str, CompiledQuery] = \
             OrderedDict()
         self._plans_by_text_cap = 1024
@@ -463,7 +488,7 @@ class BitwiseService:
         # Compiled multi-statement programs, keyed by the program's
         # structural signature.  Small LRU: programs are large (one
         # CompiledQuery per statement) but few and long-lived.
-        self._program_plans: OrderedDict[tuple, CompiledProgram] = \
+        self._program_plans: OrderedDict[str, CompiledProgram] = \
             OrderedDict()
         self._program_plans_cap = 8
         self._cache: OrderedDict[str, _CacheEntry] = OrderedDict()
@@ -1129,30 +1154,43 @@ class BitwiseService:
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
+    @staticmethod
+    def _lru_get(cache: OrderedDict, key):
+        """Cached value or None, refreshing recency (caller locks)."""
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+        return value
+
+    @staticmethod
+    def _lru_put(cache: OrderedDict, key, value, cap: int):
+        """Insert unless present (first writer wins), evict the least
+        recently used past ``cap``; returns the cached value."""
+        value = cache.setdefault(key, value)
+        cache.move_to_end(key)
+        while len(cache) > cap:
+            cache.popitem(last=False)
+        return value
+
     def compile(self, query: "Expr | str") -> CompiledQuery:
         """Compile (or fetch the cached plan for) a query."""
         text = query if isinstance(query, str) else None
         if text is not None:
             with self._plans_lock:
-                plan = self._plans_by_text.get(text)
-                if plan is not None:
-                    self._plans_by_text.move_to_end(text)
-                    return plan
+                plan = self._lru_get(self._plans_by_text, text)
+            if plan is not None:
+                return plan
         expr = _as_expr(query)
         key = canonical_key(expr)
         with self._plans_lock:
-            plan = self._plans.get(key)
+            plan = self._lru_get(self._plans, key)
         if plan is None:
             plan = compile_expr(expr, inverting=self._inverting)
-            with self._plans_lock:
-                plan = self._plans.setdefault(key, plan)
-        if text is not None:
-            with self._plans_lock:
-                self._plans_by_text.setdefault(text, plan)
-                self._plans_by_text.move_to_end(text)
-                while len(self._plans_by_text) > \
-                        self._plans_by_text_cap:
-                    self._plans_by_text.popitem(last=False)
+        with self._plans_lock:
+            plan = self._lru_put(self._plans, key, plan, self._plans_cap)
+            if text is not None:
+                self._lru_put(self._plans_by_text, text, plan,
+                              self._plans_by_text_cap)
         return plan
 
     def query(self, query: "Expr | str", *,
@@ -1313,22 +1351,15 @@ class BitwiseService:
     # ------------------------------------------------------------------
     def compile_program(self, program: Program) -> CompiledProgram:
         """Compile (or fetch the cached plan for) a program."""
-        signature = (
-            tuple((name, str(expr)) for name, expr in program.statements),
-            program.outputs,
-        )
+        signature = program.signature
         with self._plans_lock:
-            cprog = self._program_plans.get(signature)
-            if cprog is not None:
-                self._program_plans.move_to_end(signature)
-                return cprog
+            cprog = self._lru_get(self._program_plans, signature)
+        if cprog is not None:
+            return cprog
         cprog = _compile_program(program, inverting=self._inverting)
         with self._plans_lock:
-            cprog = self._program_plans.setdefault(signature, cprog)
-            self._program_plans.move_to_end(signature)
-            while len(self._program_plans) > self._program_plans_cap:
-                self._program_plans.popitem(last=False)
-        return cprog
+            return self._lru_put(self._program_plans, signature, cprog,
+                                 self._program_plans_cap)
 
     def run_program(self, program: "Program | CompiledProgram", *,
                     tenant: str | None = None) -> ProgramResult:
@@ -1340,7 +1371,11 @@ class BitwiseService:
         charge events in closed form; the reference backend replays
         every statement on each shard engine.  Both attribute one
         Stats delta per statement and are pinned bit- and Stats-exact
-        against each other in the test suite.
+        against each other in the test suite.  A warm vector run's
+        accounting is O(1) in the statement count: the whole-program
+        charge comes from the plan's memo (see
+        :meth:`CompiledProgram.charge`) and per-statement attribution
+        expands only when :attr:`ProgramResult.statements` is read.
         """
         self._ensure_open()
         cprog = program if isinstance(program, CompiledProgram) \
@@ -1350,34 +1385,19 @@ class BitwiseService:
         colmap = self._colmap(tenant, cprog.cols)
         start = time.perf_counter()
         if self.backend == "vector":
-            outputs, counts, per_stmt = self._run_program_vector(
+            outputs, counts, per_stmt, total = self._run_program_vector(
                 cprog, colmap)
         else:
-            outputs, counts, per_stmt = self._run_program_reference(
-                cprog, colmap)
+            outputs, counts, per_stmt, total = \
+                self._run_program_reference(cprog, colmap)
         elapsed = time.perf_counter() - start
         # Disturb accounting: every statement activates the external
         # columns it references once (a name shadowed by an earlier
         # statement reads the intermediate, not the column).
-        read_cols: list[str] = []
+        read_cols = cprog.physical_reads(colmap)
         with self._stats_lock:
-            shadowed: set[str] = set()
-            for name, plan in cprog.stmt_plans:
-                for col in plan.cols:
-                    if col not in shadowed and col in colmap:
-                        self._writeback.note_read(colmap[col])
-                        read_cols.append(colmap[col])
-                shadowed.add(name)
-        total = Stats()
-        statements = []
-        for index, ((name, plan), stats) in enumerate(
-                zip(cprog.stmt_plans, per_stmt)):
-            total.iadd(stats)
-            statements.append(StatementStats(
-                index=index, name=name, query=str(plan.expr),
-                energy_j=stats.total_energy_j,
-                cycles=stats.total_cycles, stats=stats))
-        with self._stats_lock:
+            for physical in read_cols:
+                self._writeback.note_read(physical)
             self.tenant_state(tenant).charge_energy(
                 total.total_energy_j)
             if self._durability is not None:
@@ -1389,7 +1409,7 @@ class BitwiseService:
                     {"kind": "charges",
                      "items": [{"tenant": tenant,
                                 "energy_j": total.total_energy_j,
-                                "cols": read_cols}],
+                                "cols": list(read_cols)}],
                      "flags": flags,
                      "tba": list(self._tba_offsets),
                      "ledger": stats_to_dict(total)},
@@ -1398,12 +1418,12 @@ class BitwiseService:
             self.programs_run += 1
         return ProgramResult(
             key=cprog.key, payloads=outputs, counts=counts,
-            statements=statements,
             primitives_per_row=cprog.primitives,
             naive_primitives_per_row=cprog.naive_primitives,
             energy_j=total.total_energy_j, cycles=total.total_cycles,
             elapsed_s=elapsed, shards=self.n_shards,
-            backend=self.backend, detail=total.summary())
+            backend=self.backend, detail=total.summary(),
+            attribution=(cprog, per_stmt))
 
     def _run_program_vector(self, cprog: CompiledProgram,
                             colmap: dict[str, str]):
@@ -1467,62 +1487,27 @@ class BitwiseService:
                        for name, matrix in matrices.items()}
             counts = {name: int(self._store.popcounts(matrix).sum())
                       for name, matrix in matrices.items()}
-        per_stmt = self._charge_program(cprog, colmap)
-        return outputs, counts, per_stmt
+        charge = self._charge_program(cprog, colmap)
+        return outputs, counts, charge.statements, charge.total
 
     def _charge_program(self, cprog: CompiledProgram,
-                        colmap: dict[str, str]) -> list[Stats]:
-        """Closed-form per-statement Stats for one program execution.
-
-        Statement events expand per shard with the running FeRAM
-        control-rewrite counter threaded through the statements in
-        order — exactly the interleaving a shard replay produces.
-        """
-        per_stmt = [Stats() for _ in cprog.stmt_plans]
+                        colmap: dict[str, str]) -> ProgramCharge:
+        """Closed-form charge of one program execution: advance the
+        column flags and TBA offsets, add the total to the ledger."""
         with self._stats_lock:
             flags = tuple(self._col_flags.get(colmap[col], False)
                           for col in cprog.cols)
-            events, final = cprog.cost_events(flags)
-            for col, flag in zip(cprog.cols, final):
+            # The memo key carries the spec: a CompiledProgram can be
+            # handed to services running different technologies.
+            charge = cprog.charge(self._spec, flags, self._shard_rows,
+                                  tuple(self._tba_offsets))
+            for col, flag in zip(cprog.cols, charge.flags):
                 physical = colmap[col]
                 if physical in self._col_flags:
                     self._col_flags[physical] = flag
-            memo = cprog._plan_stats_memo
-            shard_counts: dict[tuple, int] = {}
-            for index, n_rows in enumerate(self._shard_rows):
-                # Keyed by spec too: a CompiledProgram can be handed to
-                # services running different technologies.
-                state = (self._spec, flags, n_rows,
-                         self._tba_offsets[index])
-                costed = memo.get(state)
-                if costed is None:
-                    offset = state[3]
-                    deltas = []
-                    for stmt_events in events:
-                        stats, offset = plan_stats(
-                            self._spec, stmt_events, n_rows,
-                            tba_offset=offset)
-                        deltas.append(stats)
-                    if len(memo) >= 256:  # offsets cycle; stay bounded
-                        memo.clear()
-                    costed = (tuple(deltas), offset)
-                    memo[state] = costed
-                self._tba_offsets[index] = costed[1]
-                shard_counts[state] = shard_counts.get(state, 0) + 1
-            # Shards in the same (rows, tba_offset) state replay the
-            # exact same deltas — accumulate each distinct state once,
-            # scaled by its shard count, instead of merging per shard.
-            for state, n_shards in shard_counts.items():
-                deltas = memo[state][0]
-                if n_shards == 1:
-                    for target, delta in zip(per_stmt, deltas):
-                        target.iadd(delta)
-                else:
-                    for target, delta in zip(per_stmt, deltas):
-                        target.iadd_scaled(delta, n_shards)
-            for stats in per_stmt:
-                self._ledger.iadd(stats)
-        return per_stmt
+            self._tba_offsets[:] = charge.tba_offsets
+            self._ledger.iadd(charge.total)
+        return charge
 
     def _run_program_reference(self, cprog: CompiledProgram,
                                colmap: dict[str, str]):
@@ -1538,6 +1523,9 @@ class BitwiseService:
         for _, deltas in shard_outputs:
             for target, delta in zip(per_stmt, deltas):
                 target.iadd(delta)
+        total = Stats()
+        for stats in per_stmt:
+            total.iadd(stats)
         outputs = counts = None
         if self.functional:
             outputs = {
@@ -1548,7 +1536,7 @@ class BitwiseService:
             }
             counts = {name: int(arr.sum())
                       for name, arr in outputs.items()}
-        return outputs, counts, per_stmt
+        return outputs, counts, per_stmt, total
 
     def _run_program_on_shard(self, shard: _Shard,
                               cprog: CompiledProgram,

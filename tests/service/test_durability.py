@@ -423,6 +423,48 @@ class TestRecovery:
         finally:
             second.close()
 
+    @pytest.mark.parametrize("snapshot_every", [None, 16])
+    def test_recovery_after_repeated_program_runs(self, data_dir, rng,
+                                                  snapshot_every):
+        """Warm program runs are charged from the compiled program's
+        memo; the logged charges must still rebuild the ledger, tenant
+        energy and write-back counters, and leave the cost state
+        (flags, TBA offsets) where the next run continues exactly."""
+        from repro.arch.program import parse_program
+
+        program = parse_program(
+            "t = a & ~b\nu = t ^ c\nv = maj(t, u, ~a)\nout = v | b",
+            outputs=["u", "out"])
+        bits = {name: (rng.random(N_BITS) < 0.5).astype(np.uint8)
+                for name in "abc"}
+        service, twin = make_service(), make_service()
+        attach(service, data_dir, snapshot_every=snapshot_every)
+        service.register_tenant("acme")
+        twin.register_tenant("acme")
+        for svc in (service, twin):
+            for name, column in bits.items():
+                svc.create_column(name, column, tenant="acme")
+            for _ in range(70):  # > 2 TBA-offset cycles
+                svc.run_program(program, tenant="acme")
+        service.close()  # a crash: nothing beyond the WAL survives
+        recovered = recover_service(data_dir, sync="none",
+                                    snapshot_every=snapshot_every)
+        try:
+            assert_recovered_equal(service, recovered)
+            assert recovered.tenant_state("acme").energy_spent_nj == \
+                twin.tenant_state("acme").energy_spent_nj
+            assert recovered._writeback.summary() == \
+                twin._writeback.summary()
+            after = recovered.run_program(program, tenant="acme")
+            expected = twin.run_program(program, tenant="acme")
+            assert after.counts == expected.counts
+            assert after.statements == expected.statements
+            assert (after.energy_j, after.cycles) == \
+                (expected.energy_j, expected.cycles)
+        finally:
+            recovered.close()
+            twin.close()
+
     def test_snapshot_geometry_beats_cli_defaults(self, data_dir, rng):
         service = make_service(n_shards=3, capacity=2 * N_BITS)
         attach(service, data_dir)
@@ -763,6 +805,44 @@ class TestSchedulerFaults:
             assert np.array_equal(page["bits"], bits)
         finally:
             recovered.close()
+
+    def test_lone_writer_skips_window_concurrent_writers_group(
+            self, service, data_dir, rng):
+        """A write-only client on a fresh scheduler stops paying the
+        batching window after a few writes (barrier rounds feed the
+        batch-size prediction), yet writers arriving together still
+        share one group-commit fsync."""
+        import asyncio
+
+        manager = attach(service, data_dir, sync="batch")
+        bits = (rng.random(64) < 0.5).astype(np.uint8)
+
+        async def scenario():
+            scheduler = RequestScheduler(service, window_s=0.05)
+            scheduler.start()
+            try:
+                for k in range(4):
+                    await scheduler.submit_exclusive(
+                        None,
+                        lambda k=k: service.write_slice("a", 64 * k,
+                                                        bits))
+                skips = scheduler.metrics["window_skips"]
+                before = manager.stats()["wal_fsyncs"]
+                commits = scheduler.metrics["wal_group_commits"]
+                await asyncio.gather(*(
+                    scheduler.submit_exclusive(
+                        None,
+                        lambda k=k: service.write_slice("b", 64 * k,
+                                                        bits))
+                    for k in range(4)))
+                return (skips, manager.stats()["wal_fsyncs"] - before,
+                        scheduler.metrics["wal_group_commits"] - commits)
+            finally:
+                await scheduler.stop()
+
+        skips, fsyncs, commits = asyncio.run(scenario())
+        assert skips >= 1
+        assert fsyncs == 1 and commits == 1
 
     def test_group_fsync_failure_withholds_every_ack(
             self, service, data_dir, rng):

@@ -4,11 +4,14 @@ harness, interleaving with single queries, counting mode, caching."""
 import numpy as np
 import pytest
 
+from repro.arch.commands import Stats
+from repro.arch.primitives import default_spec
 from repro.arch.program import Program, parse_program
 from repro.errors import QueryError
 from repro.service import BitwiseService
 from tests.support.differential import (
     assert_program_equivalent,
+    assert_program_runs_equivalent,
     numpy_program_eval,
 )
 
@@ -176,3 +179,91 @@ class TestRunProgramSemantics:
     def test_parse_program_round_trip(self, table):
         program = parse_program("t = a & b\nout = t ^ c")
         assert_program_equivalent(program, table)
+
+
+class TestProgramChargeMemo:
+    """The whole-program charge memo: warm runs are charged from one
+    memoized entry per cost state, exactly as a fresh expansion."""
+
+    @pytest.mark.parametrize("technology", ["feram-2tnc", "dram"])
+    def test_memo_tracks_reference_through_tba_cycles(self, technology,
+                                                      table):
+        """Twice round the FeRAM TBA-offset cycle (and the column flag
+        evolution), every run matches the engine replay."""
+        period = default_spec(technology).control_rewrite_period
+        cprog = assert_program_runs_equivalent(
+            PROGRAMS["parity_heavy"], table, technology=technology,
+            runs=2 * period + 3)
+        # The runs revisited memoized states instead of growing it.
+        assert len(cprog._charge_memo) <= period
+
+    def test_mutating_a_result_cannot_reach_the_memo(self, table):
+        """Results hand out private Stats: scribbling over one run's
+        attribution leaves every later (memo-served) run unchanged."""
+        program = PROGRAMS["chain"]
+        scribbled = BitwiseService("feram-2tnc", n_bits=N_BITS,
+                                   n_shards=3)
+        clean = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3)
+        try:
+            for svc in (scribbled, clean):
+                for name, bits in table.items():
+                    svc.create_column(name, bits)
+            period = default_spec("feram-2tnc").control_rewrite_period
+            for _ in range(2 * period):
+                mine = scribbled.run_program(program)
+                theirs = clean.run_program(program)
+                assert mine.statements == theirs.statements
+                assert mine.detail == theirs.detail
+                for stmt in mine.statements:
+                    stmt.stats.energy_j["compute"] += 1.0
+                    stmt.stats.cycles["compute"] += 7
+                    stmt.stats.counts.clear()
+                mine.statements.clear()
+                mine.detail.clear()
+            assert scribbled._ledger == clean._ledger
+        finally:
+            scribbled.close()
+            clean.close()
+
+    def test_warm_run_merges_do_not_grow_with_program_length(
+            self, table, monkeypatch):
+        """On a memo hit the compute accounting is one ledger merge,
+        whatever the statement count (write-back scrub charges are
+        per read by design and counted apart)."""
+        merges = []
+
+        def counting(name):
+            original = getattr(Stats, name)
+
+            def wrapper(stats, *args):
+                merges.append(stats)
+                return original(stats, *args)
+            return wrapper
+
+        def merges_of_warm_run(n_statements):
+            program = Program(
+                [("t0", "a & b")]
+                + [(f"t{i}", f"t{i - 1} ^ c")
+                   for i in range(1, n_statements)])
+            svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3)
+            try:
+                for name, bits in table.items():
+                    svc.create_column(name, bits)
+                cprog = svc.compile_program(program)
+                period = default_spec("feram-2tnc").control_rewrite_period
+                for _ in range(2 * period):
+                    svc.run_program(program)
+                entries = len(cprog._charge_memo)
+                merges.clear()
+                with monkeypatch.context() as patch:
+                    for name in ("iadd", "iadd_scaled"):
+                        patch.setattr(Stats, name, counting(name))
+                    result = svc.run_program(program)
+                assert len(cprog._charge_memo) == entries  # a memo hit
+                assert len(result.statements) == n_statements
+                return sum(stats is not svc._writeback.stats
+                           for stats in merges)
+            finally:
+                svc.close()
+
+        assert merges_of_warm_run(4) == merges_of_warm_run(256) == 1

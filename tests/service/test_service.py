@@ -1,6 +1,7 @@
 """Sharded bulk-bitwise query service tests."""
 
 import io
+import itertools
 import json
 import socket
 import threading
@@ -182,6 +183,50 @@ class TestCache:
             assert svc.query("b & c").cache_hit
         finally:
             svc.close()
+
+    def test_plan_cache_is_bounded(self, rng):
+        """Distinct queries must not grow the compiled-plan cache past
+        its cap; an evicted plan recompiles to the same bits and Stats
+        as a twin service that never evicted it."""
+        width = 1024
+        cols = {f"c{k}": rng.integers(0, 2, width, dtype=np.uint8)
+                for k in range(17)}
+        # 5k distinct canonical functions: ANDs of three literals (every
+        # column triple, every polarity pattern).
+        queries = [" & ".join(f"~c{k}" if signs >> bit & 1 else f"c{k}"
+                              for bit, k in enumerate(triple))
+                   for triple in itertools.combinations(range(17), 3)
+                   for signs in range(8)][:5000]
+        services = []
+        try:
+            for _ in range(2):
+                svc = BitwiseService(n_bits=width, n_shards=2)
+                for name, bits in cols.items():
+                    svc.create_column(name, bits)
+                services.append(svc)
+            bounded, twin = services
+            twin._plans_cap = twin._plans_by_text_cap = len(queries)
+            for start in range(0, len(queries), 250):
+                for svc in services:
+                    svc.execute(queries[start:start + 250],
+                                use_cache=False)
+            assert len(bounded._plans) <= bounded._plans_cap == 1024
+            assert len(bounded._plans_by_text) <= 1024
+            assert len(twin._plans) == len(queries)
+            evicted = twin.compile(queries[0]).key
+            assert evicted not in bounded._plans
+            fresh = bounded.query(queries[0], use_cache=False)
+            kept = twin.query(queries[0], use_cache=False)
+            assert np.array_equal(fresh.bits, kept.bits)
+            assert np.array_equal(
+                fresh.bits, cols["c0"] & cols["c1"] & cols["c2"])
+            assert fresh.detail == kept.detail
+            assert (fresh.energy_j, fresh.cycles) == \
+                (kept.energy_j, kept.cycles)
+            assert bounded._ledger == twin._ledger
+        finally:
+            for svc in services:
+                svc.close()
 
     def test_cache_hit_bits_are_private(self, service):
         first = service.query("a & b")

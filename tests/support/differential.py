@@ -1,6 +1,6 @@
 """Differential-testing harness: vector vs reference execution.
 
-Two reusable assertions pin the equivalence contract of the service:
+Reusable assertions pin the equivalence contract of the service:
 
 * :func:`assert_program_equivalent` — for any program and table, the
   columnar vector backend must be indistinguishable from the engine
@@ -8,6 +8,10 @@ Two reusable assertions pin the equivalence contract of the service:
   :class:`~repro.arch.commands.Stats` *per statement*
   (``Stats.allclose``: integer counts/cycles exact, energies at float
   tolerance), and the same aggregate service ledgers.
+* :func:`assert_program_runs_equivalent` — the same contract held
+  after every one of many repeated runs (warm runs are charged from
+  the compiled program's memo, so this pins memo hits, not just a
+  fresh expansion), including TBA offsets and column flags.
 * :func:`assert_ops_equivalent` — for any serialized **op script**
   interleaving queries with column mutations (update / slice write /
   append / drop / create), both backends must agree with each other
@@ -172,6 +176,53 @@ def assert_program_equivalent(program, table, *,
                         vec_ledger["energy_total_nj"],
                         rel_tol=1e-9, abs_tol=1e-12)
     return ref, vec
+
+
+def assert_program_runs_equivalent(program, table, *, runs: int,
+                                   technology="feram-2tnc", n_shards=3):
+    """Run one program ``runs`` times on a fresh service pair in
+    lockstep, pinning the vector backend's memoized program charge to
+    the engine replay after *every* run: per-statement Stats, totals,
+    the compute ledger, the FeRAM TBA offsets and the column flags.
+
+    Returns the vector service's compiled plan (its charge memo has
+    seen every cost state of the run sequence).
+    """
+    from repro.arch.commands import Stats
+
+    n_bits = len(next(iter(table.values())))
+    ref_svc = BitwiseService(technology, n_bits=n_bits,
+                             n_shards=n_shards, backend="reference")
+    vec_svc = BitwiseService(technology, n_bits=n_bits,
+                             n_shards=n_shards)
+    try:
+        for service in (ref_svc, vec_svc):
+            for name, bits in table.items():
+                service.create_column(name, bits)
+        for run in range(runs):
+            ref = ref_svc.run_program(program)
+            vec = vec_svc.run_program(program)
+            assert len(ref.statements) == len(vec.statements)
+            for rs, vs in zip(ref.statements, vec.statements):
+                assert rs.stats.allclose(vs.stats), \
+                    f"run {run}: statement {rs.index} Stats diverge"
+            assert ref.cycles == vec.cycles, f"run {run}"
+            assert math.isclose(ref.energy_j, vec.energy_j,
+                                rel_tol=1e-9, abs_tol=1e-15)
+            engine_ledger = Stats()
+            for shard in ref_svc._shards:
+                engine_ledger.iadd(shard.engine.stats)
+            assert engine_ledger.allclose(vec_svc._ledger), f"run {run}"
+            assert vec_svc._tba_offsets == [
+                getattr(shard.engine, "_tba_since_control_rewrite", 0)
+                for shard in ref_svc._shards], f"run {run}"
+            assert vec_svc._col_flags == {
+                name: ref_svc._shards[0].columns[name].complemented
+                for name in table}, f"run {run}"
+        return vec_svc.compile_program(program)
+    finally:
+        ref_svc.close()
+        vec_svc.close()
 
 
 # ----------------------------------------------------------------------
