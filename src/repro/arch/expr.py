@@ -35,11 +35,13 @@ before/after primitive counts quoted in the benchmarks.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Mapping
 
 import numpy as np
 
+from repro.arch import native
 from repro.arch.bank import BitVector
 from repro.arch.commands import CommandType, Stats
 from repro.arch.engine import BulkEngine
@@ -677,11 +679,13 @@ class VectorProgram:
     """Flat register-machine bytecode for the columnar executor.
 
     Lowered once per :class:`CompiledQuery` from its hash-consed AIG:
-    every AIG op node becomes one *step* whose micro-ops each execute as
-    a single ``np.bitwise_*(..., out=)`` kernel over a whole packed
-    ``(n_shards, words)`` uint64 matrix — all shards advance together,
-    with no per-shard Python dispatch and no locks (numpy releases the
-    GIL inside each kernel).
+    every AIG op node becomes one *step* of micro-ops over whole packed
+    ``(n_shards, words)`` uint64 matrices — all shards advance
+    together, with no per-shard Python dispatch and no locks.  Two
+    tiers execute it with identical bits: the native tier
+    (:mod:`repro.arch.native`) runs the whole program in one C call,
+    and the numpy interpreter runs each micro-op as
+    ``np.bitwise_*(..., out=)`` kernels (both release the GIL).
 
     Steps carry the AIG node's canonical content key, so a batch-level
     ``node_cache`` shares computed sub-expression matrices *across*
@@ -721,6 +725,10 @@ class VectorProgram:
         self.out_regs = dict(out_regs) if out_regs is not None else None
         #: True for programs produced by :meth:`fuse`
         self.fused = fused
+        #: native-tier link (None: not linked yet, False: unlinkable)
+        self._linked = None
+        #: a small first run went to numpy; the next run links
+        self._link_deferred = False
 
     # -- picklable transport ------------------------------------------
     def spec(self) -> tuple:
@@ -750,7 +758,7 @@ class VectorProgram:
     def run(self, columns: Mapping[str, np.ndarray], *,
             shape: tuple[int, ...] | None = None,
             pool=None, node_cache: dict | None = None,
-            executor=None, blocks: int = 1) -> np.ndarray:
+            addresses: Mapping[int, int] | None = None) -> np.ndarray:
         """Execute over packed word matrices; returns the result matrix.
 
         ``columns`` maps names to read-only matrices (all one shape).
@@ -760,24 +768,29 @@ class VectorProgram:
         matrix is owned by the caller unless it was donated to the
         cache (callers treat results as read-only either way).
 
-        ``executor``/``blocks`` select shard-parallel execution: the
-        matrix rows are split into ``blocks`` contiguous row-blocks and
-        the recorded kernel sequence replays on each block concurrently
-        (numpy releases the GIL inside bitwise kernels).  Bit-identical
-        to serial execution — every kernel is elementwise, so row
-        blocks never interact.
+        ``addresses`` (optional) maps ``id(matrix)`` to the data
+        address of column matrices known to be C-contiguous ``uint64``
+        arrays of ``shape`` (:attr:`~repro.service.columnstore.
+        ColumnStore.addresses`), so the native tier need not inspect
+        them.  Without a node cache, and when the native kernel is
+        loaded and every input qualifies, the whole program runs in one
+        C call (:mod:`repro.arch.native`); otherwise, and for a
+        one-instruction program or a small first run
+        (:data:`~repro.arch.native.MIN_INSTRUCTIONS`,
+        :data:`~repro.arch.native.EAGER_LINK_WORDS`), the numpy
+        interpreter runs it.  Both tiers produce the same bits in
+        every word, padding included.
         """
         if self.out_reg is None:
             raise QueryError("multi-output program: use run_outputs()")
         regs = self._execute(columns, shape=shape, pool=pool,
-                             node_cache=node_cache,
-                             executor=executor, blocks=blocks)
+                             node_cache=node_cache, addresses=addresses)
         return regs[self.out_reg]
 
     def run_outputs(self, columns: Mapping[str, np.ndarray], *,
                     shape: tuple[int, ...] | None = None,
                     pool=None, node_cache: dict | None = None,
-                    executor=None, blocks: int = 1,
+                    addresses: Mapping[int, int] | None = None,
                     ) -> dict[str, np.ndarray]:
         """Execute a multi-output program; returns ``{name: matrix}``.
 
@@ -788,14 +801,13 @@ class VectorProgram:
         if self.out_regs is None:
             raise QueryError("single-output program: use run()")
         regs = self._execute(columns, shape=shape, pool=pool,
-                             node_cache=node_cache,
-                             executor=executor, blocks=blocks)
+                             node_cache=node_cache, addresses=addresses)
         return {name: regs[reg] for name, reg in self.out_regs.items()}
 
     def _execute(self, columns: Mapping[str, np.ndarray], *,
                  shape: tuple[int, ...] | None = None,
                  pool=None, node_cache: dict | None = None,
-                 executor=None, blocks: int = 1) -> list:
+                 addresses: Mapping[int, int] | None = None) -> list:
         if shape is None:
             try:
                 shape = next(iter(columns.values())).shape
@@ -803,37 +815,17 @@ class VectorProgram:
                 raise QueryError(
                     "constant-only program needs an explicit shape"
                 ) from None
-        parallel = executor is not None and blocks > 1 and shape[0] > 1
-        pool_take = pool.take if pool is not None else \
+        if node_cache is None:
+            regs = self._execute_native(columns, shape, pool, addresses)
+            if regs is not None:
+                return regs
+        take = pool.take if pool is not None else \
             (lambda: np.empty(shape, dtype=np.uint64))
-        if parallel:
-            # Bind pass: kernels are recorded, not executed.  Buffers
-            # freed during binding must stay run-local — giving them to
-            # the shared pool mid-bind would let a concurrent run
-            # scribble on a matrix the replay workers still read.
-            kernels: list[tuple] = []
-            local_free: list[np.ndarray] = []
-
-            def take() -> np.ndarray:
-                return local_free.pop() if local_free else pool_take()
-
-            def give(arr) -> None:
-                local_free.append(arr)
-
-            def emit(op, out, a=None, b=None) -> None:
-                kernels.append((op, out, a, b))
-        else:
-            take = pool_take
-            give = pool.give if pool is not None else (lambda arr: None)
-
-            def emit(op, out, a=None, b=None) -> None:
-                _SERIAL_KERNELS[op](out, a, b)
-
+        give = pool.give if pool is not None else (lambda arr: None)
         regs: list[np.ndarray | None] = [None] * self.n_regs
         # poolable[i]: the register's matrix belongs to this run (not a
         # column, not borrowed from / donated to the node cache).
         poolable = [False] * self.n_regs
-        donations: list[tuple[str, np.ndarray]] = []
 
         def resolve(spec) -> np.ndarray:
             kind, value = spec
@@ -869,41 +861,49 @@ class VectorProgram:
                         poolable[reg] = True
                     out = regs[reg]
                     if name == "and":
-                        emit("and", out, resolve(op[2]), resolve(op[3]))
+                        np.bitwise_and(resolve(op[2]), resolve(op[3]),
+                                       out=out)
                     elif name == "andn":  # op[2] & ~op[3]
-                        emit("not", out, resolve(op[3]))
-                        emit("and", out, out, resolve(op[2]))
+                        np.bitwise_not(resolve(op[3]), out=out)
+                        np.bitwise_and(out, resolve(op[2]), out=out)
                     elif name == "nor":
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                        emit("not", out, out)
+                        np.bitwise_or(resolve(op[2]), resolve(op[3]),
+                                      out=out)
+                        np.bitwise_not(out, out=out)
                     elif name == "xor":
-                        emit("xor", out, resolve(op[2]), resolve(op[3]))
+                        np.bitwise_xor(resolve(op[2]), resolve(op[3]),
+                                       out=out)
                     elif name == "or":
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
+                        np.bitwise_or(resolve(op[2]), resolve(op[3]),
+                                      out=out)
                     elif name == "nand":
-                        emit("and", out, resolve(op[2]), resolve(op[3]))
-                        emit("not", out, out)
+                        np.bitwise_and(resolve(op[2]), resolve(op[3]),
+                                       out=out)
+                        np.bitwise_not(out, out=out)
                     elif name == "xnor":
-                        emit("xor", out, resolve(op[2]), resolve(op[3]))
-                        emit("not", out, out)
+                        np.bitwise_xor(resolve(op[2]), resolve(op[3]),
+                                       out=out)
+                        np.bitwise_not(out, out=out)
                     elif name == "ornot":  # op[2] | ~op[3]
-                        emit("not", out, resolve(op[3]))
-                        emit("or", out, out, resolve(op[2]))
+                        np.bitwise_not(resolve(op[3]), out=out)
+                        np.bitwise_or(out, resolve(op[2]), out=out)
                     elif name == "andor":  # (op[2] | op[3]) & op[4]
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                        emit("and", out, out, resolve(op[4]))
+                        np.bitwise_or(resolve(op[2]), resolve(op[3]),
+                                      out=out)
+                        np.bitwise_and(out, resolve(op[4]), out=out)
                     elif name == "noror":  # ~(op[2] | op[3] | op[4])
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                        emit("or", out, out, resolve(op[4]))
-                        emit("not", out, out)
+                        np.bitwise_or(resolve(op[2]), resolve(op[3]),
+                                      out=out)
+                        np.bitwise_or(out, resolve(op[4]), out=out)
+                        np.bitwise_not(out, out=out)
                     elif name == "maj":
                         a, b, c = (resolve(op[k]) for k in (2, 3, 4))
                         scratch = take()
-                        emit("and", out, a, b)
-                        emit("and", scratch, a, c)
-                        emit("or", out, out, scratch)
-                        emit("and", scratch, b, c)
-                        emit("or", out, out, scratch)
+                        np.bitwise_and(a, b, out=out)
+                        np.bitwise_and(a, c, out=scratch)
+                        np.bitwise_or(out, scratch, out=out)
+                        np.bitwise_and(b, c, out=scratch)
+                        np.bitwise_or(out, scratch, out=out)
                         give(scratch)
                     elif name == "maj4":
                         # Fused 4-kernel majority:
@@ -918,63 +918,89 @@ class VectorProgram:
                             # write to the scratch.
                             scratch = regs[csteal]
                             poolable[csteal] = False
-                            emit("or", out, a, b)
-                            emit("and", out, out, c)
-                            emit("and", scratch, a, b)
-                            emit("or", out, out, scratch)
+                            np.bitwise_or(a, b, out=out)
+                            np.bitwise_and(out, c, out=out)
+                            np.bitwise_and(a, b, out=scratch)
+                            np.bitwise_or(out, scratch, out=out)
                         else:
                             # Pooled scratch; all reads of a/b happen
                             # at or before the first write to out, so
                             # out may alias a stolen a/b.
                             scratch = take()
-                            emit("and", scratch, a, b)
-                            emit("or", out, a, b)
-                            emit("and", out, out, c)
-                            emit("or", out, out, scratch)
+                            np.bitwise_and(a, b, out=scratch)
+                            np.bitwise_or(a, b, out=out)
+                            np.bitwise_and(out, c, out=out)
+                            np.bitwise_or(out, scratch, out=out)
                         give(scratch)
                     elif name == "not":
-                        emit("not", out, resolve(op[2]))
+                        np.bitwise_not(resolve(op[2]), out=out)
                     elif name == "copy":
-                        emit("copy", out, resolve(op[2]))
+                        np.copyto(out, resolve(op[2]))
                     elif name == "const":
-                        emit("fill", out,
-                             np.uint64(0xFFFFFFFFFFFFFFFF)
-                             if op[2] else np.uint64(0))
+                        out.fill(np.uint64(0xFFFFFFFFFFFFFFFF)
+                                 if op[2] else np.uint64(0))
                     else:  # pragma: no cover - lowering emits OPS only
                         raise QueryError(f"unknown micro-op {name!r}")
                 if node_cache is not None and key is not None:
                     poolable[dst] = False  # donated: outlives this run
-                    if parallel:
-                        # Donate only after the kernels actually ran —
-                        # the cache must never expose a matrix whose
-                        # contents don't exist yet.
-                        donations.append((key, regs[dst]))
-                    else:
-                        node_cache[key] = regs[dst]
+                    node_cache[key] = regs[dst]
             for reg in free_regs:
                 if poolable[reg] and regs[reg] is not None:
                     give(regs[reg])
                 regs[reg] = None
                 poolable[reg] = False
-
-        if parallel:
-            rows = shape[0]
-            n = max(1, min(int(blocks), rows))
-            bounds = [rows * i // n for i in range(n + 1)]
-            spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
-                     if hi > lo]
-            futures = [executor.submit(_replay, kernels, lo, hi)
-                       for lo, hi in spans[1:]]
-            _replay(kernels, *spans[0])
-            for future in futures:
-                future.result()
-            for key, matrix in donations:
-                node_cache[key] = matrix
-            if pool is not None:
-                for arr in local_free:
-                    pool.give(arr)
         return regs
 
+    def linked(self):
+        """The native-tier link of this program (made once), or None
+        when :func:`repro.arch.native.link` rejects it."""
+        if self._linked is None:
+            self._linked = native.link(self) or False
+        return self._linked or None
+
+    def _execute_native(self, columns, shape, pool,
+                        addresses) -> list | None:
+        """The whole program in one C call, or None when the native
+        tier cannot run it (the numpy interpreter then does)."""
+        fn = native.kernel()
+        if fn is None:
+            return None
+        n_words = math.prod(shape)
+        linked = self._linked
+        if linked is None:
+            if n_words < native.EAGER_LINK_WORDS \
+                    and not self._link_deferred:
+                # A program that never runs again would pay the link
+                # for nothing: its small first run stays on numpy.
+                self._link_deferred = True
+                return None
+            linked = self.linked()
+        if not linked or linked.n_code < native.MIN_INSTRUCTIONS:
+            return None
+        try:
+            matrices = [columns[name] for name in linked.cols]
+        except KeyError:
+            return None
+        ptrs = native.column_addresses(matrices, shape, addresses)
+        if ptrs is None:
+            return None
+        shape = tuple(shape)
+        if pool is None:
+            outs = [np.empty(shape, dtype=np.uint64)
+                    for _ in range(linked.n_out)]
+        else:
+            outs = [pool.take() for _ in range(linked.n_out)]
+            for out in outs:
+                if out.shape != shape or out.dtype != np.uint64 \
+                        or not out.flags.c_contiguous:
+                    for taken in outs:
+                        pool.give(taken)
+                    return None
+        native.run(fn, linked, ptrs, outs, n_words)
+        regs: list[np.ndarray | None] = [None] * self.n_regs
+        for reg, slot in linked.out_slots.items():
+            regs[reg] = outs[slot]
+        return regs
 
     # -- peephole fusion -----------------------------------------------
     def fuse(self) -> "VectorProgram":
@@ -1023,59 +1049,6 @@ class VectorProgram:
                 i += 1
         return VectorProgram(fused_steps, self.n_regs, self.out_reg,
                              self.out_regs, fused=True)
-
-
-# -- primitive kernels (shared by serial and block-replay modes) -------
-def _k_and(out, a, b):
-    np.bitwise_and(a, b, out=out)
-
-
-def _k_or(out, a, b):
-    np.bitwise_or(a, b, out=out)
-
-
-def _k_xor(out, a, b):
-    np.bitwise_xor(a, b, out=out)
-
-
-def _k_not(out, a, _b):
-    np.bitwise_not(a, out=out)
-
-
-def _k_copy(out, a, _b):
-    np.copyto(out, a)
-
-
-def _k_fill(out, a, _b):
-    out.fill(a)
-
-
-_SERIAL_KERNELS = {"and": _k_and, "or": _k_or, "xor": _k_xor,
-                   "not": _k_not, "copy": _k_copy, "fill": _k_fill}
-
-
-def _replay(kernels: list[tuple], lo: int, hi: int) -> None:
-    """Re-run a recorded kernel sequence on row-block ``[lo:hi)``.
-
-    Every kernel is elementwise over matrix rows, so disjoint blocks
-    replaying the *whole* sequence concurrently never interact — even
-    through buffers that are reused across steps, because each block's
-    kernel order is the program order.
-    """
-    for op, out, a, b in kernels:
-        o = out[lo:hi]
-        if op == "and":
-            np.bitwise_and(a[lo:hi], b[lo:hi], out=o)
-        elif op == "or":
-            np.bitwise_or(a[lo:hi], b[lo:hi], out=o)
-        elif op == "xor":
-            np.bitwise_xor(a[lo:hi], b[lo:hi], out=o)
-        elif op == "not":
-            np.bitwise_not(a[lo:hi], out=o)
-        elif op == "copy":
-            np.copyto(o, a[lo:hi])
-        else:  # fill
-            o.fill(a)
 
 
 # -- fusion helpers ----------------------------------------------------

@@ -18,6 +18,7 @@ read (the endurance currency) for both policies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.arch.commands import Command, CommandType, Stats
@@ -131,8 +132,13 @@ class ScrubAccountant:
         self.shard_rows = list(shard_rows)
         self.policy = policy or policy_for_spec(spec)
         self.stats = Stats()
-        #: column -> per-shard reads since that shard's last scrub/write
-        self._reads: dict[str, list[int]] = {}
+        self._counts: dict[str, list[int]] = {}
+        # Reads noted by note_reads but not yet added to _counts: every
+        # one is known not to reach the scrub period, so adding them
+        # later (per column on its next access) changes nothing.
+        self._pending: Counter = Counter()
+        # Upper bound on every counter plus its pending reads.
+        self._peak = 0
         self.reads_noted = 0
         self.rows_written = 0
         self.scrubs = 0           #: (column, shard) scrub events
@@ -140,12 +146,33 @@ class ScrubAccountant:
         self.write_energy_j = 0.0
         self.scrub_energy_j = 0.0
 
+    @property
+    def _reads(self) -> dict[str, list[int]]:
+        """column -> per-shard reads since that shard's last
+        scrub/write."""
+        for column in list(self._pending):
+            self._counters(column)
+        return self._counts
+
+    @_reads.setter
+    def _reads(self, counts: dict[str, list[int]]) -> None:
+        self._pending.clear()
+        self._counts = counts
+        self._peak = max(map(max, counts.values()), default=0)
+
     def _counters(self, column: str) -> list[int]:
-        return self._reads.setdefault(column, [0] * len(self.shard_rows))
+        counters = self._counts.get(column)
+        if counters is None:
+            counters = self._counts[column] = [0] * len(self.shard_rows)
+        n = self._pending.pop(column, 0)
+        if n:
+            counters[:] = [count + n for count in counters]
+        return counters
 
     def forget(self, column: str) -> None:
         """Drop a column's disturb counters (the column was dropped)."""
-        self._reads.pop(column, None)
+        self._counts.pop(column, None)
+        self._pending.pop(column, None)
 
     def note_write(self, column: str, rows_by_shard: list[int],
                    ) -> Stats:
@@ -185,7 +212,44 @@ class ScrubAccountant:
                                      repeat=due * rows))
                 self.scrub_energy_j += delta.total_energy_j
                 self.stats.iadd(delta)
+        self._peak = max(self._peak, max(counters))
         return scrubbed
+
+    def note_reads(self, columns) -> int:
+        """:meth:`note_read` once per occurrence in ``columns``.
+
+        When no (column, shard) counter can reach the scrub period,
+        each column's occurrences are added in one step (deferred to
+        the column's next access).  Otherwise the whole call falls
+        back to per-occurrence :meth:`note_read`, so scrub charges and
+        their float sums stay bit-identical.
+        """
+        columns = tuple(columns)
+        if not columns:
+            return 0
+        limit = self.policy.reads_per_writeback - 1
+        counts = None
+        most = 1
+        if len(set(columns)) < len(columns):
+            counts = Counter(columns)
+            most = max(counts.values())
+        if self._peak + most <= limit:
+            # No counter can cross: defer the adds (one C-level update).
+            self._pending.update(columns)
+            self._peak += most
+        else:
+            counts = counts or Counter(columns)
+            tops = [max(self._counters(column)) + n
+                    for column, n in counts.items()]
+            if max(tops) > limit:
+                scrubbed = sum(map(self.note_read, columns))
+                self._peak = max(map(max, self._reads.values()),
+                                 default=0)
+                return scrubbed
+            self._pending.update(columns)
+            self._peak = max(self._peak, *tops)
+        self.reads_noted += len(columns)
+        return 0
 
     def reads_since_scrub(self, column: str) -> list[int]:
         """Per-shard accumulated disturb reads (introspection)."""

@@ -297,10 +297,14 @@ def _cmd_serve(argv: list[str]) -> int:
                                if args.request_timeout_ms else None),
             injector=injector)
         host, port = server.server_address[:2]
+        executor = service.stats()["executor"]
+        tier = f"{executor['kernel_tier'] or args.backend} kernels"
+        if executor["kernel_fallback"]:
+            tier += f" [{executor['kernel_fallback']}]"
         print(f"serving bulk-bitwise queries on {host}:{port} "
               f"({args.tech}, {args.bits} bits x "
               f"{service.n_shards} shards, "
-              f"{args.batch_window_ms:g} ms batch window"
+              f"{args.batch_window_ms:g} ms batch window, {tier}"
               + (f", durable in {args.data_dir}"
                  if args.data_dir else "") + ")")
 

@@ -4,10 +4,12 @@ The reference service keeps every column as per-shard engine-resident
 :class:`~repro.arch.bank.BitVector` handles; the vectorized executor
 instead holds each named column as **one contiguous packed-``uint64``
 matrix** of shape ``(n_shards, words_per_shard)``.  A compiled query
-then advances *all* shards together: each plan step is a single
-``np.bitwise_*(..., out=)`` kernel over the whole 2-D matrix — no
-per-shard Python dispatch, no locks, and numpy releases the GIL for the
-duration of every kernel.
+then advances *all* shards together — one native call per program, or
+one ``np.bitwise_*(..., out=)`` kernel per plan step over the whole
+2-D matrix — with no per-shard Python dispatch, no locks, and the GIL
+released while the kernels run.  The store records every bound
+matrix's data address (:attr:`ColumnStore.addresses`) for the native
+tier.
 
 Matrices are populated at ``create_column`` and shared zero-copy with
 query execution (programs only ever *read* column matrices; all writes
@@ -213,6 +215,12 @@ class ColumnStore:
         self.words_per_shard = max(self.shard_words)
         self.shape = (self.n_shards, self.words_per_shard)
         self._matrices: dict[str, np.ndarray] = {}
+        #: ``id(matrix) -> data address`` of every bound column matrix
+        #: (all C-contiguous uint64 of :attr:`shape`), recorded at bind
+        #: time so the native tier never inspects a column's ndarray.
+        #: Keyed by identity, an entry can only describe the very array
+        #: a run holds; a rebound or dropped matrix loses its entry.
+        self.addresses: dict[int, int] = {}
         # Uniform layout (every shard holds a full words_per_shard run):
         # the matrix rows concatenate into one contiguous word stream,
         # so readouts reduce to a single unpackbits over the matrix.
@@ -337,10 +345,20 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # column management
     # ------------------------------------------------------------------
+    def _bind(self, name: str, matrix: np.ndarray) -> None:
+        old = self._matrices.get(name)
+        self._matrices[name] = matrix
+        self.addresses[id(matrix)] = matrix.__array_interface__["data"][0]
+        if old is not None and old is not matrix:
+            self.addresses.pop(id(old), None)
+
+    def _unbind(self, name: str) -> None:
+        self.addresses.pop(id(self._matrices.pop(name)), None)
+
     def add(self, name: str, bits: np.ndarray) -> None:
         if name in self._matrices:
             raise QueryError(f"column {name!r} already exists")
-        self._matrices[name] = self._pack(bits)
+        self._bind(name, self._pack(bits))
 
     def set(self, name: str, bits: np.ndarray) -> None:
         """Rebind a column to a freshly packed matrix (copy-on-write).
@@ -350,12 +368,12 @@ class ColumnStore:
         """
         if name not in self._matrices:
             raise QueryError(f"no column {name!r}")
-        self._matrices[name] = self._pack(bits)
+        self._bind(name, self._pack(bits))
 
     def drop(self, name: str) -> None:
         if name not in self._matrices:
             raise QueryError(f"no column {name!r}")
-        del self._matrices[name]
+        self._unbind(name)
 
     def matrix(self, name: str) -> np.ndarray:
         try:

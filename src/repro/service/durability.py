@@ -787,8 +787,7 @@ def _apply_charges(service, meta: dict) -> None:
     order); flags/TBA/ledger land as the logged post-batch values."""
     with service._stats_lock:
         for item in meta["items"]:
-            for physical in item["cols"]:
-                service._writeback.note_read(physical)
+            service._writeback.note_reads(item["cols"])
             service.tenant_state(item["tenant"]).charge_energy(
                 item["energy_j"])
         for physical, flag in meta["flags"].items():

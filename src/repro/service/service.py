@@ -15,9 +15,11 @@ Two execution backends answer queries:
   ColumnStore` as packed ``(n_shards, words_per_shard)`` uint64
   matrices, each compiled plan lowers once to register-machine
   bytecode (:meth:`~repro.arch.expr.CompiledQuery.vector_program`),
-  and every plan step executes as a single ``np.bitwise_*`` kernel
-  over the whole matrix — all shards advance together, lock-free, with
-  numpy releasing the GIL.  Energy/cycle/primitive accounting comes
+  and the whole program runs in one native C call
+  (:mod:`repro.arch.native`), or, without a C compiler, every plan
+  step as ``np.bitwise_*`` kernels over the whole matrix — all shards
+  advance together, lock-free, with the GIL released while kernels
+  run.  Energy/cycle/primitive accounting comes
   from the closed-form plan coster
   (:func:`~repro.arch.primitives.plan_stats`), which is Stats-exact
   against an engine replay.  Shared sub-expressions are deduplicated
@@ -66,13 +68,14 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arch import native
 from repro.arch.bank import BitVector, pack_bits
 from repro.arch.commands import Command, CommandType, Stats
 from repro.arch.engine import BulkEngine
@@ -323,6 +326,15 @@ class _Shard:
     @property
     def n_bits(self) -> int:
         return self.span[1] - self.span[0]
+
+
+def _node_caches(items) -> dict[str | None, dict[str, np.ndarray]]:
+    """Per-tenant batch node caches, only for tenants with at least
+    two plans among ``items`` (pending batch entries)."""
+    if len(items) < 2:
+        return {}
+    plans = Counter(item["tenant"] for item in items)
+    return {tenant: {} for tenant, n in plans.items() if n > 1}
 
 
 class BitwiseService:
@@ -1331,8 +1343,7 @@ class BitwiseService:
             with self._stats_lock:
                 charged = []
                 for ckey, item in pending.items():
-                    for physical in item["colmap"].values():
-                        self._writeback.note_read(physical)
+                    self._writeback.note_reads(item["colmap"].values())
                     energy = outputs[ckey][2].total_energy_j
                     self.tenant_state(item["tenant"]).charge_energy(
                         energy)
@@ -1396,8 +1407,7 @@ class BitwiseService:
         # statement reads the intermediate, not the column).
         read_cols = cprog.physical_reads(colmap)
         with self._stats_lock:
-            for physical in read_cols:
-                self._writeback.note_read(physical)
+            self._writeback.note_reads(read_cols)
             self.tenant_state(tenant).charge_energy(
                 total.total_energy_j)
             if self._durability is not None:
@@ -1463,7 +1473,8 @@ class BitwiseService:
                                for logical, physical in colmap.items()}
                     matrices = program.run_outputs(
                         columns, shape=self._store.shape,
-                        pool=self._matrix_pool)
+                        pool=self._matrix_pool,
+                        addresses=self._store.addresses)
                     outputs = {name: PackedBits(self._store, matrix)
                                for name, matrix in matrices.items()}
                     counts = {
@@ -1480,7 +1491,8 @@ class BitwiseService:
             program = cprog.vector_program(fused=self.fuse)
             matrices = program.run_outputs(
                 columns, shape=self._store.shape,
-                pool=self._matrix_pool)
+                pool=self._matrix_pool,
+                addresses=self._store.addresses)
             # Output matrices stay owned by the result (deferred
             # readout) — they must NOT go back to the pool.
             outputs = {name: PackedBits(self._store, matrix)
@@ -1566,13 +1578,16 @@ class BitwiseService:
         across the batch's queries (attributed costs still model each
         plan standalone, matching the reference replay exactly).
         Node caches are scoped per tenant — the same structural
-        sub-expression names different data in different namespaces.
+        sub-expression names different data in different namespaces —
+        and exist only for tenants with at least two plans in the
+        batch: a lone plan can never hit its cache, and passing one
+        would keep it off the native tier.
         """
         if self._shared_store:
             return self._run_batch_shared(pending)
         snapshot = self._store.snapshot() if self._store is not None \
             else {}
-        node_caches: dict[str | None, dict[str, np.ndarray]] = {}
+        node_caches = _node_caches(pending.values())
         outputs: dict[str, tuple] = {}
         for ckey, item in pending.items():
             plan = item["plan"]
@@ -1590,8 +1605,8 @@ class BitwiseService:
                 matrix = program.run(
                     columns, shape=self._store.shape,
                     pool=self._matrix_pool,
-                    node_cache=node_caches.setdefault(
-                        item["tenant"], {}))
+                    node_cache=node_caches.get(item["tenant"]),
+                    addresses=self._store.addresses)
                 count = int(self._store.popcounts(matrix).sum())
                 # The matrix stays owned by the result; .bits unpacks
                 # on first access (counting clients never pay it).
@@ -1606,13 +1621,14 @@ class BitwiseService:
         store = self._store
         mask = None if store._full else store._mask
         return (store._matrices, store.segment_name,
-                store.mask_segment, mask, store.generations)
+                store.mask_segment, mask, store.generations,
+                store.addresses)
 
     def _replica_view(self, replica) -> tuple:
         mask = None if self._store._full else replica.mask_matrix
         return (replica.matrices,
                 lambda physical: replica.segments[physical].name,
-                replica.mask_segment(), mask, replica.applied_gen)
+                replica.mask_segment(), mask, replica.applied_gen, None)
 
     def _masked_count(self, matrix: np.ndarray,
                       mask: np.ndarray | None) -> int:
@@ -1654,7 +1670,7 @@ class BitwiseService:
         if primary:
             with self._table_rw.read():
                 view = self._primary_view()
-                node_caches: dict = {}
+                node_caches = _node_caches(primary.values())
                 for ckey, item in primary.items():
                     outputs[ckey] = self._exec_shared_item(
                         item, view, node_caches)
@@ -1675,7 +1691,7 @@ class BitwiseService:
         (workers return per-shard popcounts; the result matrix is
         copied out of the shared output segment), otherwise runs the
         bytecode in-process."""
-        matrices, segname, mask_seg, mask, gens = view
+        matrices, segname, mask_seg, mask, gens, addresses = view
         plan = item["plan"]
         colmap = item["colmap"]
         start = time.perf_counter()
@@ -1701,7 +1717,8 @@ class BitwiseService:
             matrix = program.run(
                 columns, shape=self._store.shape,
                 pool=self._matrix_pool,
-                node_cache=node_caches.setdefault(item["tenant"], {}))
+                node_cache=node_caches.get(item["tenant"]),
+                addresses=addresses)
             count = self._masked_count(matrix, mask)
         payload = PackedBits(self._store, matrix)
         delta = self._charge_vector(plan, colmap)
@@ -2069,6 +2086,8 @@ class BitwiseService:
             "cycles_total": merged.total_cycles,
             "writeback": writeback,
             "executor": {
+                **(native.status() if self.backend == "vector" else
+                   {"kernel_tier": None, "kernel_fallback": None}),
                 "fuse": self.fuse,
                 "workers": self.workers,
                 "mode": "process" if self._shared_store

@@ -196,7 +196,7 @@ class SharedColumnStore(ColumnStore):
         shm, view = self._new_segment("c")
         np.copyto(view, packed)
         self._segments[name] = shm
-        self._matrices[name] = view
+        self._bind(name, view)
         self.generations[name] = 1
         self.struct_generation += 1
         return ("add", name, self.struct_generation)
@@ -220,7 +220,7 @@ class SharedColumnStore(ColumnStore):
         shm = self._segments.pop(name, None)
         if shm is None:
             raise QueryError(f"no column {name!r}")
-        del self._matrices[name]
+        self._unbind(name)
         self.generations.pop(name, None)
         # Unlink now (the /dev/shm entry disappears) but keep the
         # mapping alive until close(): snapshots taken before the drop
@@ -238,6 +238,7 @@ class SharedColumnStore(ColumnStore):
         if self._closed:
             return
         self._closed = True
+        self.addresses.clear()  # before the matrices can die
         self._matrices.clear()
         self._mask_matrix = None
         self._mask = None

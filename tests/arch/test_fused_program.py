@@ -1,16 +1,15 @@
 """Peephole-fused bytecode: exactness, structure, allocation wins,
-and shard-parallel execution.
+and process-parallel execution.
 
 The fuser may only change *how* a plan executes — never its bits,
 popcounts, or analytic Stats.  These tests pin the edge cases the
 pass special-cases (single-step programs, every-step-an-output,
-constant-only plans, self-cancelling operands) on both technologies,
-and the tentpole wins themselves: fused plans take strictly fewer
-steps and allocate strictly fewer matrices on real workloads, and
-row-block parallel execution is bit- and Stats-identical to serial.
+constant-only plans, self-cancelling operands) on both technologies
+and both executor tiers, and the tentpole wins themselves: fused
+plans take strictly fewer steps and, on the numpy interpreter,
+allocate strictly fewer matrices on real workloads; shard-worker
+execution is bit- and Stats-identical to the reference replay.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ def store(table):
 class TestFusedExactness:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize("inverting", [True, False])
-    def test_matches_numpy(self, store, table, query, inverting):
+    def test_matches_numpy(self, store, table, query, inverting, tier):
         plan = compile_expr(query, inverting=inverting)
         program = plan.vector_program(fused=True)
         matrix = program.run(store.snapshot(), shape=store.shape)
@@ -62,7 +61,7 @@ class TestFusedExactness:
 
     @pytest.mark.parametrize("query", EDGE_QUERIES)
     @pytest.mark.parametrize("inverting", [True, False])
-    def test_edge_queries(self, store, table, query, inverting):
+    def test_edge_queries(self, store, table, query, inverting, tier):
         plan = compile_expr(query, inverting=inverting)
         program = plan.vector_program(fused=True)
         matrix = program.run(store.snapshot(), shape=store.shape)
@@ -70,7 +69,7 @@ class TestFusedExactness:
         assert np.array_equal(store.unpack(matrix), expected), query
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_fused_with_pool_matches(self, store, table, query):
+    def test_fused_with_pool_matches(self, store, table, query, tier):
         pool = MatrixPool(store.shape)
         plan = compile_expr(query)
         program = plan.vector_program(fused=True)
@@ -79,7 +78,7 @@ class TestFusedExactness:
         expected = numpy_eval(parse(query), table)
         assert np.array_equal(store.unpack(matrix), expected), query
 
-    def test_columns_never_written(self, store, table):
+    def test_columns_never_written(self, store, table, tier):
         before = {name: store.matrix(name).copy() for name in table}
         for query in QUERIES:
             plan = compile_expr(query, inverting=True)
@@ -117,7 +116,7 @@ class TestFusedStructure:
         assert len(fused.steps) == len(plan.vector_program().steps)
 
     @pytest.mark.parametrize("technology", ["feram-2tnc", "dram"])
-    def test_all_steps_outputs_program(self, technology, table):
+    def test_all_steps_outputs_program(self, technology, table, tier):
         """Every statement is an output: nothing may fuse across the
         protected dsts, and the results must stay exact."""
         program = Program([
@@ -155,10 +154,11 @@ class TestFusedStructure:
 
 
 class TestFusedAllocations:
-    def test_fused_allocates_strictly_fewer_matrices(self):
-        """Satellite contract: on the CRC8 program the fused executor
-        must take strictly fewer pool misses (fresh allocations) than
-        the unfused one."""
+    def test_fused_allocates_strictly_fewer_matrices(self, numpy_tier):
+        """Satellite contract: on the CRC8 program the fused numpy
+        interpreter must take strictly fewer pool misses (fresh
+        allocations) than the unfused one.  (The native tier takes
+        only the output matrices from the pool on either form.)"""
         from repro.workloads.crc8 import Crc8
         from repro.workloads.programs import generate_inputs
 
@@ -181,22 +181,6 @@ class TestFusedAllocations:
 
 
 class TestParallelExecution:
-    @pytest.mark.parametrize("fused", [False, True])
-    @pytest.mark.parametrize("blocks", [2, 3, 8])
-    def test_row_blocks_match_serial(self, store, table, fused,
-                                     blocks):
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            for query in QUERIES:
-                plan = compile_expr(query)
-                program = plan.vector_program(fused=fused)
-                serial = program.run(store.snapshot(),
-                                     shape=store.shape)
-                parallel = program.run(store.snapshot(),
-                                       shape=store.shape,
-                                       executor=executor,
-                                       blocks=blocks)
-                assert np.array_equal(serial, parallel), query
-
     @pytest.mark.parametrize("technology", ["feram-2tnc", "dram"])
     def test_parallel_service_backend_equivalent(self, technology,
                                                  table):
@@ -212,19 +196,3 @@ class TestParallelExecution:
                                   technology=technology, n_shards=3,
                                   fused=True, workers=2,
                                   parallel_min_work=0)
-
-    def test_parallel_pool_reuse_stays_exact(self, store, table):
-        """Pooled buffers + parallel replay: run the whole corpus
-        twice through one pool so recycled matrices cross queries."""
-        pool = MatrixPool(store.shape)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            for _ in range(2):
-                for query in QUERIES:
-                    plan = compile_expr(query)
-                    program = plan.vector_program(fused=True)
-                    matrix = program.run(store.snapshot(),
-                                         shape=store.shape, pool=pool,
-                                         executor=executor, blocks=3)
-                    expected = numpy_eval(parse(query), table)
-                    assert np.array_equal(store.unpack(matrix),
-                                          expected), query

@@ -1,4 +1,8 @@
-"""Register-machine bytecode: bit-exactness against numpy references."""
+"""Register-machine bytecode: bit-exactness against numpy references.
+
+Exactness tests run on both executor tiers (the ``tier`` fixture): the
+native single-pass kernel and the numpy interpreter.
+"""
 
 import numpy as np
 import pytest
@@ -95,7 +99,7 @@ def store(table):
 class TestProgramExactness:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize("inverting", [True, False])
-    def test_matches_numpy(self, store, table, query, inverting):
+    def test_matches_numpy(self, store, table, query, inverting, tier):
         plan = compile_expr(query, inverting=inverting)
         program = plan.vector_program()
         matrix = program.run(store.snapshot(), shape=store.shape)
@@ -107,12 +111,12 @@ class TestProgramExactness:
         plan = compile_expr("a & b")
         assert plan.vector_program() is plan.vector_program()
 
-    def test_constant_program_needs_shape(self):
+    def test_constant_program_needs_shape(self, tier):
         plan = compile_expr("1")
         with pytest.raises(QueryError, match="shape"):
             plan.vector_program().run({})
 
-    def test_columns_never_written(self, store, table):
+    def test_columns_never_written(self, store, table, tier):
         before = {name: store.matrix(name).copy() for name in table}
         for query in QUERIES:
             plan = compile_expr(query, inverting=True)

@@ -1,5 +1,6 @@
-"""Shared pytest configuration: hypothesis profile, common fixtures,
-and a fallback implementation of the ``timeout`` marker.
+"""Shared pytest configuration: hypothesis profile, common fixtures
+(including the executor-tier fixtures), and a fallback implementation
+of the ``timeout`` marker.
 
 The server/concurrency suites mark themselves ``@pytest.mark.timeout``
 so a hung event loop or deadlocked scheduler fails fast instead of
@@ -17,6 +18,8 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from repro.arch import native
 
 settings.register_profile(
     "repro",
@@ -66,3 +69,31 @@ def pytest_runtest_call(item):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def numpy_tier(monkeypatch) -> str:
+    """Disable the native kernel loader for one test: every
+    VectorProgram runs on the numpy interpreter."""
+    monkeypatch.setattr(native, "_state",
+                        (None, "disabled by the numpy_tier fixture"))
+    return "numpy"
+
+
+@pytest.fixture
+def native_tier(monkeypatch) -> str:
+    """Every VectorProgram run in one test takes the native kernel,
+    one-instruction programs and small first runs included (skips
+    without the tier)."""
+    if native.kernel() is None:
+        pytest.skip(f"native tier unavailable: "
+                    f"{native.status()['kernel_fallback']}")
+    monkeypatch.setattr(native, "EAGER_LINK_WORDS", 0)
+    monkeypatch.setattr(native, "MIN_INSTRUCTIONS", 1)
+    return "native"
+
+
+@pytest.fixture(params=["native", "numpy"])
+def tier(request) -> str:
+    """Run a test once per executor tier (native C kernel, numpy)."""
+    return request.getfixturevalue(f"{request.param}_tier")

@@ -113,3 +113,41 @@ class TestMatrixPool:
         pool = MatrixPool((2, 4))
         pool.give(np.empty((3, 4), dtype=np.uint64))
         assert len(pool) == 0
+
+
+class TestAddresses:
+    """Column addresses are recorded at bind time, keyed by identity."""
+
+    @staticmethod
+    def _address(matrix):
+        return matrix.__array_interface__["data"][0]
+
+    def test_bind_rebind_drop(self):
+        import weakref
+
+        store = ColumnStore(300, 2)
+        store.add("a", np.ones(300, dtype=np.uint8))
+        store.add("b", np.zeros(300, dtype=np.uint8))
+        first = store.matrix("a")
+        assert store.addresses == {
+            id(store.matrix(name)): self._address(store.matrix(name))
+            for name in "ab"}
+        gone = weakref.ref(first)
+        stale = id(first)
+        del first
+        store.set("a", np.zeros(300, dtype=np.uint8))
+        assert gone() is None  # the replaced matrix is not kept alive
+        assert stale not in store.addresses or \
+            store.addresses[stale] == self._address(store.matrix("a"))
+        assert len(store.addresses) == len(store) == 2
+        store.drop("b")
+        assert store.addresses == {
+            id(store.matrix("a")): self._address(store.matrix("a"))}
+
+    def test_snapshot_holder_outlives_its_entry(self):
+        store = ColumnStore(300, 2)
+        store.add("a", np.ones(300, dtype=np.uint8))
+        held = store.snapshot()["a"]
+        store.set("a", np.zeros(300, dtype=np.uint8))
+        # the held (pre-mutation) matrix is no longer described
+        assert id(held) not in store.addresses

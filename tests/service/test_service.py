@@ -360,3 +360,27 @@ class TestFrontends:
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "serve" in out and "query" in out
+
+    @pytest.mark.timeout(60)
+    def test_cli_serve_startup_names_kernel_tier(self):
+        import os
+        import subprocess
+        import sys
+
+        from repro.arch import native
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--bits", "1024",
+             "--port", "0"], stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            line = child.stdout.readline()
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        status = native.status()
+        assert line.startswith("serving bulk-bitwise queries on ")
+        assert f"{status['kernel_tier']} kernels" in line

@@ -294,3 +294,40 @@ class TestGenerationRace:
                                   table["a"] ^ table["b"])
         finally:
             svc.close()
+
+
+class TestNodeCacheScope:
+    def test_only_tenants_with_two_plans_get_a_cache(self):
+        from repro.service.service import _node_caches
+
+        items = [{"tenant": None}, {"tenant": "t1"}, {"tenant": "t1"},
+                 {"tenant": "t2"}]
+        assert _node_caches(items) == {"t1": {}}
+
+    def test_lone_query_runs_native_batch_shares(self, table,
+                                                 native_tier):
+        from repro.arch import native
+
+        calls = []
+        original = native.run
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        native.run = counted
+        try:
+            with BitwiseService(n_bits=N_BITS, n_shards=3) as svc:
+                for name, bits in table.items():
+                    svc.create_column(name, bits)
+                svc.execute(["(a & b) ^ c"], use_cache=False)
+                assert len(calls) == 1
+                # a batch of two plans keeps sub-expression sharing
+                results = svc.execute(["(a & b) | c", "(b & a) ^ d"],
+                                      use_cache=False)
+                assert len(calls) == 1
+        finally:
+            native.run = original
+        a, b, c, d = (table[name] for name in "abcd")
+        assert results[0].count == int(((a & b) | c).sum())
+        assert results[1].count == int(((a & b) ^ d).sum())
